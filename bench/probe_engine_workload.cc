@@ -1,196 +1,49 @@
-// Probe engine gate: executor v2 (unordered_map RowIndex) vs. v3 (flat
-// open-addressing indexes + software-prefetch batched probing) — see
-// sql/flat_row_index.h and Executor::RunJoin.
+// Probe engine existence microbench: a probe-heavy existence workload (does
+// any row carry this join key?) over a synthetic duplicate-heavy column —
+// millions of probes, ~half misses — timed two ways on the same
+// FlatRowIndex (see sql/flat_row_index.h):
 //
-// Two halves, both gated:
+//   plain    — one Lookup per key;
+//   batched  — Executor::RunJoin's pipeline: hash a window of keys,
+//              PrefetchBucket each, then LookupHashed the window in order.
 //
-//   parity    — DBLife + e-commerce debugger workloads replayed under all
-//               five traversal strategies with three engine variants: v2
-//               (flat_index off), v3_unbatched (flat on, prefetch window
-//               off), and v3 (default). The A(K)/N(K)/MPAN classification
-//               signature must be bit-identical across the variants; the v3
-//               runs must prove they actually probed flat indexes.
-//   existence — a probe-heavy existence microworkload (does any row carry
-//               this join key?) over a synthetic duplicate-heavy column:
-//               millions of probes, ~half misses, per-rep timings for the
-//               v2 and v3 engines interleaved. Hit counts must agree, and
-//               in full mode on a release build the v3 median must be at
-//               least kMinSpeedup x faster.
+// Per-rep timings of the two loops are interleaved. Both hit counts must
+// equal an inline std::unordered_map count of the column.
 //
-// Emits BENCH_probe_engine.json (per-variant counters, per-rep timings,
-// median speedup) and exits nonzero on any violated gate.
+// Emits BENCH_probe_engine.json (per-rep timings, medians, speedup of
+// batched over plain) and exits nonzero on a hit-count mismatch.
 //
 //   ./probe_engine_workload [--smoke] [--out=BENCH_probe_engine.json]
 //
-// Environment knobs: KWSDBG_SEED / KWSDBG_SCALE / KWSDBG_MAX_LEVEL as in
-// bench_util.h. The microworkload seed is fixed and printed.
+// The seed is fixed and printed.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "bench_util.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "datasets/ecommerce.h"
-#include "datasets/toy_product_db.h"
-#include "datasets/workload.h"
-#include "debugger/non_answer_debugger.h"
-#include "lattice/lattice_generator.h"
 #include "sql/flat_row_index.h"
-#include "sql/row_index.h"
 
 namespace kwsdbg {
 namespace bench {
 namespace {
 
-constexpr double kMinSpeedup = 1.5;
 constexpr uint64_t kMicroSeed = 0xBEEFCAFEull;
 
-/// One dataset + lattice + keyword queries to replay.
-struct ProbeEnv {
-  std::string name;
-  const Database* db = nullptr;
-  const Lattice* lattice = nullptr;
-  const InvertedIndex* index = nullptr;
-  std::vector<std::string> queries;
-};
-
-enum class Variant { kV2, kV3Unbatched, kV3 };
-
-const char* VariantName(Variant v) {
-  switch (v) {
-    case Variant::kV2: return "v2";
-    case Variant::kV3Unbatched: return "v3_unbatched";
-    case Variant::kV3: return "v3";
-  }
-  return "?";
-}
-
-struct VariantRun {
-  std::string signature;  ///< ClassificationSignature over every query.
-  TraversalStats stats;
-  double millis = 0;
-};
-
-VariantRun RunVariant(const ProbeEnv& env, TraversalKind kind,
-                      Variant variant) {
-  DebuggerOptions options;
-  options.strategy = kind;
-  options.verdict_cache_capacity = 0;  // measure raw probes, not the cache
-  options.executor.flat_index = variant != Variant::kV2;
-  options.executor.batched_probe = variant == Variant::kV3;
-  NonAnswerDebugger debugger(env.db, env.lattice, env.index, options);
-  VariantRun run;
-  Timer timer;
-  for (const std::string& query : env.queries) {
-    auto report = debugger.Debug(query);
-    KWSDBG_CHECK(report.ok()) << report.status().ToString();
-    run.signature += report->ClassificationSignature();
-    run.signature += '\n';
-    TraversalStats stats = report->AggregateTraversalStats();
-    run.stats.sql_queries += stats.sql_queries;
-    run.stats.rows_probed += stats.rows_probed;
-    run.stats.index_builds += stats.index_builds;
-    run.stats.flat_probes += stats.flat_probes;
-    run.stats.prefetch_batches += stats.prefetch_batches;
-    run.stats.index_build_millis += stats.index_build_millis;
-    run.stats.arena_bytes += stats.arena_bytes;
-  }
-  run.millis = timer.ElapsedMillis();
-  return run;
-}
-
-struct ParityRow {
-  std::string env;
-  std::string strategy;
-  std::string variant;
-  TraversalStats stats;
-  double millis = 0;
-  bool signature_match = false;
-
-  std::string ToJson() const {
-    std::ostringstream out;
-    out << "{\"env\":\"" << env << "\",\"strategy\":\"" << strategy
-        << "\",\"variant\":\"" << variant
-        << "\",\"sql_queries\":" << stats.sql_queries
-        << ",\"rows_probed\":" << stats.rows_probed
-        << ",\"flat_probes\":" << stats.flat_probes
-        << ",\"prefetch_batches\":" << stats.prefetch_batches
-        << ",\"index_builds\":" << stats.index_builds
-        << ",\"index_build_millis\":" << stats.index_build_millis
-        << ",\"arena_bytes\":" << stats.arena_bytes
-        << ",\"millis\":" << millis
-        << ",\"signature_match\":" << (signature_match ? "true" : "false")
-        << "}";
-    return out.str();
-  }
-};
-
-/// Runs the three variants over one env; appends rows, returns violations.
-size_t RunEnvParity(const ProbeEnv& env, TablePrinter* table,
-                    std::vector<ParityRow>* rows, size_t* env_batches) {
-  size_t violations = 0;
-  auto gate = [&](bool ok, const std::string& what) {
-    if (!ok) {
-      ++violations;
-      std::printf("  [GATE] %s: %s\n", env.name.c_str(), what.c_str());
-    }
-  };
-  const TraversalKind kinds[] = {
-      TraversalKind::kBottomUp, TraversalKind::kTopDown,
-      TraversalKind::kBottomUpWithReuse, TraversalKind::kTopDownWithReuse,
-      TraversalKind::kScoreBased};
-  for (TraversalKind kind : kinds) {
-    const VariantRun v2 = RunVariant(env, kind, Variant::kV2);
-    const Variant rest[] = {Variant::kV3Unbatched, Variant::kV3};
-    VariantRun runs[] = {v2, RunVariant(env, kind, rest[0]),
-                         RunVariant(env, kind, rest[1])};
-    const Variant variants[] = {Variant::kV2, rest[0], rest[1]};
-    for (size_t i = 0; i < 3; ++i) {
-      const VariantRun& run = runs[i];
-      const bool match = run.signature == v2.signature;
-      gate(match, std::string(TraversalKindName(kind)) + "/" +
-                      VariantName(variants[i]) +
-                      " classifies the workload differently than v2");
-      if (variants[i] != Variant::kV2) {
-        gate(run.stats.flat_probes > 0,
-             std::string(TraversalKindName(kind)) + "/" +
-                 VariantName(variants[i]) + " never probed a flat index");
-      }
-      if (variants[i] == Variant::kV3) {
-        *env_batches += run.stats.prefetch_batches;
-      }
-      table->AddRow({env.name, std::string(TraversalKindName(kind)),
-                     VariantName(variants[i]),
-                     std::to_string(run.stats.sql_queries),
-                     std::to_string(run.stats.rows_probed),
-                     std::to_string(run.stats.flat_probes),
-                     std::to_string(run.stats.prefetch_batches),
-                     std::to_string(run.stats.arena_bytes), Fmt(run.millis)});
-      rows->push_back({env.name, std::string(TraversalKindName(kind)),
-                       VariantName(variants[i]), run.stats, run.millis,
-                       match});
-    }
-  }
-  return violations;
-}
-
-/// Probe-heavy existence microworkload: one duplicate-heavy join column,
-/// `num_probes` keys (~half misses), counting keys with at least one row.
 struct ExistenceResult {
   size_t rows = 0;
   size_t probes = 0;
   size_t reps = 0;
   size_t hits = 0;
-  std::vector<double> v2_millis;
-  std::vector<double> v3_millis;
-  double v2_median = 0;
-  double v3_median = 0;
+  std::vector<double> plain_millis;
+  std::vector<double> batched_millis;
+  double plain_median = 0;
+  double batched_median = 0;
   double speedup = 0;
   size_t violations = 0;
 };
@@ -198,6 +51,15 @@ struct ExistenceResult {
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   return xs[xs.size() / 2];
+}
+
+void AppendArray(std::ostringstream* json, const std::vector<double>& xs) {
+  *json << '[';
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) *json << ',';
+    *json << xs[i];
+  }
+  *json << ']';
 }
 
 ExistenceResult RunExistenceWorkload(size_t num_rows, size_t num_probes,
@@ -210,19 +72,22 @@ ExistenceResult RunExistenceWorkload(size_t num_rows, size_t num_probes,
   Rng rng(kMicroSeed);
   Schema schema({{"fk", DataType::kInt64}});
   Table table("probe_side", std::move(schema));
+  std::unordered_map<int64_t, size_t> counts;
   for (size_t i = 0; i < num_rows; ++i) {
-    table.AppendRowUnchecked(
-        {Value(static_cast<int64_t>(rng.Uniform(num_rows)))});
+    const int64_t key = static_cast<int64_t>(rng.Uniform(num_rows));
+    table.AppendRowUnchecked({Value(key)});
+    ++counts[key];
   }
   std::vector<Value> probes;
   probes.reserve(num_probes);
   for (size_t i = 0; i < num_probes; ++i) {
     // Keys in [0, 2 * num_rows): roughly half probe for absent keys, the
     // miss-heavy shape of dead-network existence checks.
-    probes.emplace_back(static_cast<int64_t>(rng.Uniform(2 * num_rows)));
+    const int64_t key = static_cast<int64_t>(rng.Uniform(2 * num_rows));
+    probes.emplace_back(key);
+    if (counts.count(key) != 0) ++r.hits;
   }
 
-  const RowIndex legacy = RowIndex::Build(table, 0);
   Timer build_timer;
   const FlatRowIndex flat = FlatRowIndex::Build(table, 0);
   std::printf("  flat build: %.2f ms, %zu key(s), arena %zu bytes, "
@@ -230,17 +95,15 @@ ExistenceResult RunExistenceWorkload(size_t num_rows, size_t num_probes,
               build_timer.ElapsedMillis(), flat.num_keys(),
               flat.stats().arena_bytes, flat.stats().bucket_bytes);
 
-  auto run_v2 = [&]() {
+  auto run_plain = [&]() {
     size_t hits = 0;
     for (const Value& v : probes) {
-      if (!legacy.Lookup(v).empty()) ++hits;
+      if (!flat.Lookup(v).empty()) ++hits;
     }
     return hits;
   };
-  // Mirrors Executor::RunJoin's batched pipeline: hash a window of probe
-  // keys, prefetch their buckets, drain the window in order.
   constexpr size_t kWindow = 16;
-  auto run_v3 = [&]() {
+  auto run_batched = [&]() {
     size_t hits = 0;
     uint64_t win_hash[kWindow];
     for (size_t i = 0; i < probes.size(); i += kWindow) {
@@ -256,28 +119,29 @@ ExistenceResult RunExistenceWorkload(size_t num_rows, size_t num_probes,
     return hits;
   };
 
-  // One untimed warmup of each engine, then interleaved timed reps so
+  // One untimed warmup of each loop, then interleaved timed reps so
   // neither side benefits from running last with a hot cache.
-  const size_t expect_hits = run_v2();
-  r.hits = expect_hits;
-  if (run_v3() != expect_hits) ++r.violations;
+  auto check = [&](const char* what, size_t got) {
+    if (got == r.hits) return;
+    ++r.violations;
+    std::printf("  [GATE] %s loop found %zu hit(s), expected %zu\n", what,
+                got, r.hits);
+  };
+  check("plain", run_plain());
+  check("batched", run_batched());
   for (size_t rep = 0; rep < reps; ++rep) {
-    Timer t2;
-    const size_t h2 = run_v2();
-    r.v2_millis.push_back(t2.ElapsedMillis());
-    Timer t3;
-    const size_t h3 = run_v3();
-    r.v3_millis.push_back(t3.ElapsedMillis());
-    if (h2 != expect_hits || h3 != expect_hits) {
-      ++r.violations;
-      std::printf("  [GATE] existence rep %zu: hit counts diverged "
-                  "(v2=%zu v3=%zu expect=%zu)\n",
-                  rep, h2, h3, expect_hits);
-    }
+    Timer plain_timer;
+    const size_t plain_hits = run_plain();
+    r.plain_millis.push_back(plain_timer.ElapsedMillis());
+    Timer batched_timer;
+    const size_t batched_hits = run_batched();
+    r.batched_millis.push_back(batched_timer.ElapsedMillis());
+    check("plain", plain_hits);
+    check("batched", batched_hits);
   }
-  r.v2_median = Median(r.v2_millis);
-  r.v3_median = Median(r.v3_millis);
-  r.speedup = r.v3_median > 0 ? r.v2_median / r.v3_median : 0;
+  r.plain_median = Median(r.plain_millis);
+  r.batched_median = Median(r.batched_millis);
+  r.speedup = r.batched_median > 0 ? r.plain_median / r.batched_median : 0;
   return r;
 }
 
@@ -287,139 +151,47 @@ int Run(bool smoke, const std::string& out_path) {
 #else
   const bool release = false;
 #endif
-  std::printf("Probe engine workload: v2 (unordered_map) vs v3 (flat + "
-              "prefetch), %s build\n",
-              release ? "release" : "debug");
-
-  size_t violations = 0;
-  std::vector<ParityRow> parity_rows;
-  size_t prefetch_batches = 0;
-  TablePrinter table({"env", "strategy", "variant", "SQL", "rows probed",
-                      "flat probes", "batches", "arena B", "ms"});
-
-  LatticeConfig small_lattice;
-  small_lattice.max_joins = 2;
-  small_lattice.num_keyword_copies = 2;
-
-  // Parity half. Each block owns its dataset; rows/violations accumulate.
-  if (smoke) {
-    auto toy = BuildToyProductDatabase();
-    KWSDBG_CHECK(toy.ok()) << toy.status().ToString();
-    auto lattice = LatticeGenerator::Generate(toy->schema, small_lattice);
-    KWSDBG_CHECK(lattice.ok()) << lattice.status().ToString();
-    InvertedIndex index = InvertedIndex::Build(*toy->db);
-    ProbeEnv env;
-    env.name = "toy";
-    env.db = toy->db.get();
-    env.lattice = lattice->get();
-    env.index = &index;
-    env.queries = {"saffron candle", "scented candle", "red candle"};
-    violations += RunEnvParity(env, &table, &parity_rows, &prefetch_batches);
-  } else {
-    const size_t level = std::min<size_t>(5, EnvMaxLevel());
-    BenchEnv dblife({level});
-    ProbeEnv paper;
-    paper.name = "dblife L" + std::to_string(level);
-    paper.db = &dblife.db();
-    paper.lattice = &dblife.lattice(level);
-    paper.index = &dblife.index();
-    for (const WorkloadQuery& q : PaperWorkload()) {
-      paper.queries.push_back(q.text);
-    }
-    violations += RunEnvParity(paper, &table, &parity_rows,
-                               &prefetch_batches);
-  }
-  {
-    EcommerceConfig shop_config;
-    shop_config.num_items = smoke ? 120 : 500;
-    auto shop = GenerateEcommerce(shop_config);
-    KWSDBG_CHECK(shop.ok()) << shop.status().ToString();
-    auto shop_lattice = LatticeGenerator::Generate(shop->schema,
-                                                   small_lattice);
-    KWSDBG_CHECK(shop_lattice.ok()) << shop_lattice.status().ToString();
-    InvertedIndex shop_index = InvertedIndex::Build(*shop->db);
-    ProbeEnv ecommerce;
-    ecommerce.name = "ecommerce";
-    ecommerce.db = shop->db.get();
-    ecommerce.lattice = shop_lattice->get();
-    ecommerce.index = &shop_index;
-    ecommerce.queries = {"saffron candle", "lavender soap"};
-    if (!smoke) {
-      ecommerce.queries.push_back("azure diffuser");
-      ecommerce.queries.push_back("handmade crimson candle");
-    }
-    violations += RunEnvParity(ecommerce, &table, &parity_rows,
-                               &prefetch_batches);
-  }
-  table.Print();
-  if (!smoke && prefetch_batches == 0) {
-    ++violations;
-    std::printf("[GATE] batched probe pipeline never issued a prefetch "
-                "window on the full workload\n");
-  }
-
-  // Existence half.
-  std::printf("\nExistence microworkload (seed %#llx):\n",
+  std::printf("Probe engine existence microbench: plain vs batched "
+              "(prefetch) lookups, %s build, seed %#llx\n",
+              release ? "release" : "debug",
               static_cast<unsigned long long>(kMicroSeed));
   const ExistenceResult ex =
       smoke ? RunExistenceWorkload(1u << 14, 1u << 13, 3)
             : RunExistenceWorkload(1u << 21, 1u << 20, 7);
-  violations += ex.violations;
-  std::printf("  %zu rows, %zu probes, %zu rep(s): v2 median %.2f ms, "
-              "v3 median %.2f ms, speedup %.2fx\n",
-              ex.rows, ex.probes, ex.reps, ex.v2_median, ex.v3_median,
-              ex.speedup);
-  const bool speedup_gated = !smoke && release;
-  if (speedup_gated && ex.speedup < kMinSpeedup) {
-    ++violations;
-    std::printf("[GATE] median speedup %.2fx below the %.1fx floor\n",
-                ex.speedup, kMinSpeedup);
+  std::printf("  %zu rows, %zu probes, %zu hits, %zu rep(s): plain median "
+              "%.2f ms, batched median %.2f ms, speedup %.2fx\n",
+              ex.rows, ex.probes, ex.hits, ex.reps, ex.plain_median,
+              ex.batched_median, ex.speedup);
+
+  std::ostringstream json;
+  json << "{\"bench\":\"probe_engine_workload\",\"smoke\":"
+       << (smoke ? "true" : "false")
+       << ",\"release\":" << (release ? "true" : "false")
+       << ",\"existence\":{\"rows\":" << ex.rows << ",\"probes\":" << ex.probes
+       << ",\"reps\":" << ex.reps << ",\"hits\":" << ex.hits
+       << ",\"plain_millis\":";
+  AppendArray(&json, ex.plain_millis);
+  json << ",\"batched_millis\":";
+  AppendArray(&json, ex.batched_millis);
+  json << ",\"plain_median_millis\":" << ex.plain_median
+       << ",\"batched_median_millis\":" << ex.batched_median
+       << ",\"speedup\":" << ex.speedup
+       << "},\"violations\":" << ex.violations << '}';
+  std::ofstream f(out_path);
+  if (f) {
+    f << json.str() << '\n';
+    std::printf("\nwrote %s\n", out_path.c_str());
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
   }
 
-  // Artifact.
-  {
-    std::ostringstream json;
-    json << "{\"bench\":\"probe_engine_workload\",\"smoke\":"
-         << (smoke ? "true" : "false")
-         << ",\"release\":" << (release ? "true" : "false") << ",\"parity\":[";
-    for (size_t i = 0; i < parity_rows.size(); ++i) {
-      if (i > 0) json << ',';
-      json << parity_rows[i].ToJson();
-    }
-    json << "],\"existence\":{\"rows\":" << ex.rows
-         << ",\"probes\":" << ex.probes << ",\"reps\":" << ex.reps
-         << ",\"hits\":" << ex.hits << ",\"v2_millis\":[";
-    for (size_t i = 0; i < ex.v2_millis.size(); ++i) {
-      if (i > 0) json << ',';
-      json << ex.v2_millis[i];
-    }
-    json << "],\"v3_millis\":[";
-    for (size_t i = 0; i < ex.v3_millis.size(); ++i) {
-      if (i > 0) json << ',';
-      json << ex.v3_millis[i];
-    }
-    json << "],\"v2_median_millis\":" << ex.v2_median
-         << ",\"v3_median_millis\":" << ex.v3_median
-         << ",\"speedup\":" << ex.speedup
-         << ",\"min_speedup\":" << kMinSpeedup
-         << ",\"speedup_gated\":" << (speedup_gated ? "true" : "false")
-         << "},\"violations\":" << violations << '}';
-    std::ofstream f(out_path);
-    if (f) {
-      f << json.str() << '\n';
-      std::printf("\nwrote %s\n", out_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    }
-  }
-
-  if (violations > 0) {
-    std::printf("\nPROBE ENGINE GATE FAILED: %zu violation(s)\n", violations);
+  if (ex.violations > 0) {
+    std::printf("\nPROBE ENGINE GATE FAILED: %zu violation(s)\n",
+                ex.violations);
     return 1;
   }
-  std::printf("\nPROBE ENGINE GATE OK: classifications bit-identical across "
-              "v2 / v3_unbatched / v3%s\n",
-              speedup_gated ? ", speedup floor met" : "");
+  std::printf("\nPROBE ENGINE GATE OK: plain and batched hit counts match "
+              "the reference count\n");
   return 0;
 }
 

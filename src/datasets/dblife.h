@@ -17,8 +17,9 @@
 
 namespace kwsdbg {
 
-/// Scale and skew knobs. Defaults produce roughly 100k tuples; multiply
-/// every count by ~8 to approach the paper's snapshot.
+/// Scale and skew knobs. Defaults produce 49,590 tuples (Scaled(1.0), which
+/// rounds each entity count up by one, gives 49,621); Scaled(4.6) gives
+/// 908,508, close to the paper's 801,189-tuple snapshot.
 struct DblifeConfig {
   uint64_t seed = 42;
   size_t num_persons = 2000;

@@ -58,7 +58,6 @@ TraversalStats DebugReport::AggregateTraversalStats() const {
     stats.planner_decisions += interp.traversal_stats.planner_decisions;
     stats.planner_explored += interp.traversal_stats.planner_explored;
     stats.pa_observations += interp.traversal_stats.pa_observations;
-    stats.pa_sample_sql += interp.traversal_stats.pa_sample_sql;
     // Arm labels: one arm dominates a single-arm report; mixed picks are
     // summarized as "mixed". The model slice kept is the last (warmest) one.
     const std::string& arm = interp.traversal_stats.planned_strategy;

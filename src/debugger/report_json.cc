@@ -119,7 +119,6 @@ std::string DebugReportToJson(const DebugReport& report) {
         << interp.traversal_stats.planner_decisions
         << ",\"planner_explored\":" << interp.traversal_stats.planner_explored
         << ",\"pa_observations\":" << interp.traversal_stats.pa_observations
-        << ",\"pa_sample_sql\":" << interp.traversal_stats.pa_sample_sql
         << ",\"planned_strategy\":";
     AppendString(&out, interp.traversal_stats.planned_strategy);
     out << ",\"pa_buckets\":[";

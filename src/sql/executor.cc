@@ -189,31 +189,14 @@ const Executor::KeywordMatches& Executor::GetKeywordMatches(
       .first->second;
 }
 
-const RowIndex& Executor::GetJoinIndex(const Table* table, size_t column) {
-  const size_t before = indexes_.num_indexes();
-  const RowIndex& index = indexes_.GetOrBuild(table, column);
-  stats_.index_builds += indexes_.num_indexes() - before;
-  return index;
-}
-
 const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
                                            size_t column) {
-  if (options_.shared_flat_indexes != nullptr) {
-    // Shard-shared tier: the build cost is charged to whichever session
-    // triggered the build; every other session on the shard probes for free.
-    bool built = false;
-    const FlatRowIndex& index = options_.shared_flat_indexes->GetOrBuild(
-        table, column, cache_epoch_, &built);
-    if (built) {
-      ++stats_.index_builds;
-      stats_.index_build_millis += index.stats().build_millis;
-      stats_.arena_bytes += index.stats().arena_bytes;
-    }
-    return index;
-  }
-  const size_t before = flat_indexes_.num_indexes();
-  const FlatRowIndex& index = flat_indexes_.GetOrBuild(table, column);
-  if (flat_indexes_.num_indexes() != before) {
+  // On a shard-shared tier the build cost is charged to whichever session
+  // triggered the build; every other session on the shard probes for free.
+  bool built = false;
+  const FlatRowIndex& index =
+      flat_indexes_->GetOrBuild(table, column, cache_epoch_, &built);
+  if (built) {
     ++stats_.index_builds;
     stats_.index_build_millis += index.stats().build_millis;
     stats_.arena_bytes += index.stats().arena_bytes;
@@ -223,16 +206,14 @@ const FlatRowIndex& Executor::GetFlatIndex(const Table* table,
 
 RowSpan Executor::ProbeJoinIndex(const Table* table, size_t column,
                                  const Value& v) {
-  if (options_.flat_index) {
-    ++stats_.flat_probes;
-    return GetFlatIndex(table, column).Lookup(v);
-  }
-  return RowSpan::Of(GetJoinIndex(table, column).Lookup(v));
+  ++stats_.flat_probes;
+  return GetFlatIndex(table, column).Lookup(v);
 }
 
 void Executor::ClearCaches() {
-  indexes_.Clear();
-  flat_indexes_.Clear();
+  // Only the session's own tier: a shard-shared one serves other sessions
+  // and invalidates itself by epoch.
+  own_flat_indexes_.Clear();
   keyword_cache_.clear();
   infix_cache_.clear();
   table_cache_epochs_.clear();
@@ -363,9 +344,11 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     cache_epoch_ = db_->epoch();
   }
   // Relation-scoped invalidation (live writes): a LiveMutator bumps only the
-  // written table's data epoch, so drop only that table's match sets and
-  // join indexes — every other table's caches stay warm. Must run before
-  // PrepareQuery, whose candidate counting already reads the caches.
+  // written table's data epoch, so drop only that table's match sets —
+  // every other table's caches stay warm (join indexes are stamped with
+  // their table's data epoch and rebuild themselves in GetFlatIndex). Must
+  // run before PrepareQuery, whose candidate counting already reads the
+  // caches.
   if (text_index_ != nullptr && text_index_->version() != index_version_) {
     // A vocabulary change re-finalized the dictionary: cached term ids are
     // meaningless (row match sets keyed by table stay valid — the mutated
@@ -385,8 +368,6 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
           ++kit;
         }
       }
-      indexes_.EraseTable(t);
-      flat_indexes_.EraseTable(t);
       it->second = t->data_epoch();
     }
   }
@@ -394,10 +375,10 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
   // its budget) and every kCancelCheckStride probed rows inside the
   // backtracking loop — the only place a single query's work is unbounded.
   constexpr size_t kCancelCheckStride = 1024;
-  // Batched probe pipeline (engine v3): windows of kPrefetchWindow probe
-  // keys are hashed and their buckets prefetched before the window drains,
-  // engaged only on loops with at least kBatchMinProbes candidates —
-  // below that the window never leaves L1 anyway.
+  // Batched probe pipeline: windows of kPrefetchWindow probe keys are
+  // hashed and their buckets prefetched before the window drains, engaged
+  // only on loops with at least kBatchMinProbes candidates — below that the
+  // window never leaves L1 anyway.
   constexpr size_t kPrefetchWindow = 16;
   constexpr size_t kBatchMinProbes = 32;
   auto deadline_fired = [this] {
@@ -533,7 +514,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
       changed = false;
       for (size_t v = 0; v < n; ++v) {
         for (const VertexConstraint& vc : pq.constraints[v]) {
-          // RowIndex lookups use structural equality; restrict the pass to
+          // Index lookups use structural equality; restrict the pass to
           // same-type column pairs so SqlEquals semantics (int==double)
           // are never narrowed.
           if (!same_type(vc, v)) continue;
@@ -587,16 +568,10 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
             kept.reserve(cu.rows.size());
             // One probe per candidate row — the batched pipeline's home
             // turf. Windows are drained strictly in order, so `kept` (and
-            // every downstream verdict) is byte-identical with batching
-            // off; the prefetches only warm the cache.
-            const FlatRowIndex* flat =
-                options_.flat_index ? &GetFlatIndex(pw.table, vc.other_column)
-                                    : nullptr;
-            const RowIndex* legacy =
-                options_.flat_index ? nullptr
-                                    : &GetJoinIndex(pw.table, vc.other_column);
-            const bool batched = flat != nullptr && options_.batched_probe &&
-                                 cu.rows.size() >= kBatchMinProbes;
+            // every downstream verdict) is the same as one Lookup per row;
+            // the prefetches only warm the cache.
+            const FlatRowIndex& flat = GetFlatIndex(pw.table, vc.other_column);
+            const bool batched = cu.rows.size() >= kBatchMinProbes;
             uint64_t win_hash[kPrefetchWindow];
             for (size_t base = 0; base < cu.rows.size();
                  base += kPrefetchWindow) {
@@ -609,21 +584,17 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
                       pu.table->at(cu.rows[base + j], vc.own_column);
                   if (val.is_null()) continue;
                   win_hash[j] = val.Hash64();
-                  flat->PrefetchBucket(win_hash[j]);
+                  flat.PrefetchBucket(win_hash[j]);
                 }
               }
               for (size_t j = 0; j < w; ++j) {
                 const uint32_t row = cu.rows[base + j];
                 const Value& val = pu.table->at(row, vc.own_column);
                 RowSpan matched;
-                if (flat != nullptr) {
-                  ++stats_.flat_probes;
-                  if (!val.is_null()) {
-                    matched = batched ? flat->LookupHashed(win_hash[j], val)
-                                      : flat->Lookup(val);
-                  }
-                } else {
-                  matched = RowSpan::Of(legacy->Lookup(val));
+                ++stats_.flat_probes;
+                if (!val.is_null()) {
+                  matched = batched ? flat.LookupHashed(win_hash[j], val)
+                                    : flat.Lookup(val);
                 }
                 bool match = false;
                 for (uint32_t nrow : matched) {
@@ -754,8 +725,7 @@ StatusOr<bool> Executor::RunJoin(const JoinNetworkQuery& query, size_t limit,
     const size_t count = f.use_candidates
                              ? f.candidates.size()
                              : pq.vertices[v].table->num_rows();
-    if (options_.flat_index && options_.batched_probe && d + 1 < n &&
-        count >= kBatchMinProbes) {
+    if (d + 1 < n && count >= kBatchMinProbes) {
       // The next depth's probe constraint is deterministic: init_frame(d+1)
       // picks the first constraint of order[d+1] whose other side lies in
       // the prefix order[0..d]. When that other side is *this* vertex, each

@@ -265,72 +265,6 @@ void FlatRowIndex::MaybeCompactArena() {
   garbage_ = 0;
 }
 
-const FlatRowIndex& FlatRowIndexManager::GetOrBuild(const Table* table,
-                                                    size_t column) {
-  auto key = std::make_pair(table, column);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    it = cache_
-             .emplace(key, std::make_unique<FlatRowIndex>(
-                               FlatRowIndex::Build(*table, column)))
-             .first;
-    const FlatIndexStats& s = it->second->stats();
-    totals_.build_millis += s.build_millis;
-    totals_.distinct_keys += s.distinct_keys;
-    totals_.max_run_length =
-        std::max(totals_.max_run_length, s.max_run_length);
-    totals_.arena_bytes += s.arena_bytes;
-    totals_.bucket_bytes += s.bucket_bytes;
-  }
-  return *it->second;
-}
-
-size_t FlatRowIndexManager::EraseTable(const Table* table) {
-  size_t erased = 0;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->first.first == table) {
-      it = cache_.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
-  }
-  return erased;
-}
-
-const FlatRowIndex& SharedFlatRowIndexManager::GetOrBuildLocked(
-    const Table* table, size_t column, bool* built) {
-  auto key = std::make_pair(table, column);
-  auto it = cache_.find(key);
-  // A mismatched stamp means the table mutated in a way the mutator did not
-  // patch (compaction, or no mutator wired): rebuild. The erase is safe
-  // without quiescence because every probe holds the index gate shared
-  // while this caller holds it exclusively or the entry was evicted under
-  // the writer's exclusive hold — see the class comment.
-  if (it != cache_.end() && it->second.table_epoch != table->data_epoch()) {
-    cache_.erase(it);
-    it = cache_.end();
-  }
-  bool did_build = false;
-  if (it == cache_.end()) {
-    Entry e;
-    e.index = std::make_unique<FlatRowIndex>(FlatRowIndex::Build(*table,
-                                                                 column));
-    e.table_epoch = table->data_epoch();
-    it = cache_.emplace(key, std::move(e)).first;
-    did_build = true;
-    const FlatIndexStats& s = it->second.index->stats();
-    totals_.build_millis += s.build_millis;
-    totals_.distinct_keys += s.distinct_keys;
-    totals_.max_run_length = std::max(totals_.max_run_length,
-                                      s.max_run_length);
-    totals_.arena_bytes += s.arena_bytes;
-    totals_.bucket_bytes += s.bucket_bytes;
-  }
-  if (built != nullptr) *built = did_build;
-  return *it->second.index;
-}
-
 const FlatRowIndex& SharedFlatRowIndexManager::GetOrBuild(const Table* table,
                                                           size_t column,
                                                           uint64_t epoch,
@@ -342,7 +276,27 @@ const FlatRowIndex& SharedFlatRowIndexManager::GetOrBuild(const Table* table,
     cache_.clear();
     epoch_ = epoch;
   }
-  return GetOrBuildLocked(table, column, built);
+  auto key = std::make_pair(table, column);
+  auto it = cache_.find(key);
+  // A mismatched stamp means the table mutated in a way the mutator did not
+  // patch (compaction, or no mutator wired): rebuild. The erase is safe
+  // without quiescence because every probe holds the index gate shared
+  // while this caller holds it exclusively or the entry was evicted under
+  // the writer's exclusive hold — see the class comment.
+  if (it != cache_.end() && it->second.table_epoch != table->data_epoch()) {
+    cache_.erase(it);
+    it = cache_.end();
+  }
+  const bool did_build = it == cache_.end();
+  if (did_build) {
+    Entry e;
+    e.index = std::make_unique<FlatRowIndex>(FlatRowIndex::Build(*table,
+                                                                 column));
+    e.table_epoch = table->data_epoch();
+    it = cache_.emplace(key, std::move(e)).first;
+  }
+  if (built != nullptr) *built = did_build;
+  return *it->second.index;
 }
 
 size_t SharedFlatRowIndexManager::ApplyRowInsert(const Table* table,
@@ -413,11 +367,6 @@ void SharedFlatRowIndexManager::Clear() {
 size_t SharedFlatRowIndexManager::num_indexes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.size();
-}
-
-FlatIndexStats SharedFlatRowIndexManager::totals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return totals_;
 }
 
 }  // namespace kwsdbg

@@ -1,11 +1,10 @@
-// Probe engine v3: cache-conscious join-column indexes.
+// Cache-conscious join-column indexes: the executor's one probe engine.
 //
-// `FlatRowIndex` replaces the v2 `RowIndex`
-// (std::unordered_map<Value, std::vector<uint32_t>>) with an open-addressing,
-// power-of-two, linear-probing hash table over 64-bit type-tagged key hashes
-// (storage/value.h Hash64). Row ids live in one contiguous uint32_t arena —
-// one run per distinct key, rows ascending — instead of per-key vectors, so a
-// probe is: one bucket cache line, one verification cell, one arena run.
+// `FlatRowIndex` is an open-addressing, power-of-two, linear-probing hash
+// table over 64-bit type-tagged key hashes (storage/value.h Hash64). Row ids
+// live in one contiguous uint32_t arena — one run per distinct key, rows
+// ascending — instead of per-key vectors, so a probe is: one bucket cache
+// line, one verification cell, one arena run.
 // Hash collisions are resolved DRAMHiT-style by verifying the probe value
 // against the indexed column itself (the run's first row is the
 // representative), which keeps buckets at 16 bytes with no stored keys and
@@ -67,7 +66,7 @@ struct FlatIndexStats {
 
 /// value -> row-id run for one (table, column). NULL cells are not indexed
 /// (SQL equality never matches NULL). Lookup uses structural equality
-/// (Value::operator==), exactly like the v2 RowIndex.
+/// (Value::operator==).
 class FlatRowIndex {
  public:
   /// Hash of one bucket slot: 64-bit key hash + [run_begin, run_begin+len)
@@ -147,36 +146,13 @@ class FlatRowIndex {
   FlatIndexStats stats_;
 };
 
-/// Lazy cache of FlatRowIndex instances keyed by (table, column), with
-/// accumulated build-cost stats across every index it owns.
-class FlatRowIndexManager {
- public:
-  const FlatRowIndex& GetOrBuild(const Table* table, size_t column);
-
-  void Clear() { cache_.clear(); }
-
-  /// Drops only the indexes over `table` (relation-scoped invalidation
-  /// after a write); returns how many were dropped.
-  size_t EraseTable(const Table* table);
-
-  size_t num_indexes() const { return cache_.size(); }
-
-  /// Sum of per-index stats over everything built so far (survives Clear()
-  /// is NOT required — counters are harvested into ExecutorStats on build).
-  const FlatIndexStats& totals() const { return totals_; }
-
- private:
-  std::unordered_map<std::pair<const Table*, size_t>,
-                     std::unique_ptr<FlatRowIndex>, PairHash>
-      cache_;
-  FlatIndexStats totals_;
-};
-
-/// Thread-safe, epoch-aware flat-index tier shared by the workers of one
-/// service shard (see service/debug_service.h): one shard = one manager, so
-/// arenas are partitioned per shard and no lock is global. Indexes are held
-/// behind stable pointers, so the returned reference outlives the lock; the
-/// mutex only serializes the map lookup and the (rare) build or patch.
+/// Thread-safe, epoch-aware cache of FlatRowIndex instances keyed by
+/// (table, column). A service shard shares one among its workers (see
+/// service/debug_service.h), so arenas are partitioned per shard and no lock
+/// is global; an executor with no shared tier owns a private one. Indexes
+/// are held behind stable pointers, so the returned reference outlives the
+/// lock; the mutex only serializes the map lookup and the (rare) build or
+/// patch.
 ///
 /// Invalidation is two-level. The database epoch still clears everything
 /// lazily (legacy BumpEpoch between batches). Independently, every entry is
@@ -211,8 +187,6 @@ class SharedFlatRowIndexManager {
 
   void Clear();
   size_t num_indexes() const;
-  /// Accumulated build-cost stats over every index built (any epoch).
-  FlatIndexStats totals() const;
 
  private:
   struct Entry {
@@ -220,14 +194,10 @@ class SharedFlatRowIndexManager {
     uint64_t table_epoch = 0;
   };
 
-  const FlatRowIndex& GetOrBuildLocked(const Table* table, size_t column,
-                                       bool* built);
-
   mutable std::mutex mu_;
   uint64_t epoch_ = 0;  // guarded by mu_
   std::unordered_map<std::pair<const Table*, size_t>, Entry, PairHash>
-      cache_;                // guarded by mu_
-  FlatIndexStats totals_;    // guarded by mu_; survives epoch clears
+      cache_;  // guarded by mu_
 };
 
 }  // namespace kwsdbg

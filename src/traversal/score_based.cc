@@ -24,7 +24,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "traversal/pa_estimator.h"
 #include "traversal/parallel_frontier.h"
 #include "traversal/strategies.h"
 
@@ -45,8 +44,7 @@ class ScoreBasedStrategy : public TraversalStrategy {
     FrontierEvaluator frontier(evaluator, parallel_);
     const size_t num_nodes = pl.lattice().num_nodes();
     NodeStatusMap status(num_nodes);
-    double pa = options_.alive_probability;
-    size_t pa_sample_sql = 0;
+    const double pa = options_.alive_probability;
 
     // Per-level p_a from the adaptive model, snapshotted at run start: the
     // verdicts this run produces feed the model for *later* queries, never
@@ -91,29 +89,8 @@ class ScoreBasedStrategy : public TraversalStrategy {
       TraversalResult partial = internal::BuildTruncatedOutcomes(pl, status);
       frontier.FillStats(&partial.stats);
       partial.stats.total_millis = total.ElapsedMillis();
-      partial.stats.pa_sample_sql = pa_sample_sql;
       return partial;
     };
-
-    // The sampling pass is retired when an observation-fed model is
-    // attached: the model's estimates cost no SQL at all.
-    if (options_.estimate_pa && options_.pa_model == nullptr) {
-      PaEstimatorOptions est_options;
-      est_options.sample_size = options_.estimator_sample_size;
-      est_options.seed = options_.estimator_seed;
-      StatusOr<PaEstimate> estimate_or =
-          EstimateAliveProbability(pl, evaluator, est_options, &status);
-      if (internal::IsDeadlineExceeded(estimate_or.status())) {
-        return truncated_result();
-      }
-      KWSDBG_ASSIGN_OR_RETURN(PaEstimate estimate, std::move(estimate_or));
-      pa = estimate.alive_probability;
-      pa_sample_sql = estimate.sql_executed;
-      // Fold the sampled classifications into the W/A/D accounting.
-      for (NodeId n : pl.retained()) {
-        if (status.IsKnown(n)) on_classified(n);
-      }
-    }
 
     auto gain_of = [&](NodeId n) {
       const double p =
@@ -223,7 +200,6 @@ class ScoreBasedStrategy : public TraversalStrategy {
                             internal::BuildOutcomes(pl, status));
     frontier.FillStats(&result.stats);
     result.stats.total_millis = total.ElapsedMillis();
-    result.stats.pa_sample_sql = pa_sample_sql;
     return result;
   }
 

@@ -56,7 +56,7 @@ struct TraversalStats {
   size_t rows_probed = 0;      ///< Rows pulled during backtracking joins.
   size_t rows_filtered = 0;    ///< Candidate rows removed by semijoins.
   size_t index_builds = 0;     ///< Join-column hash indexes built.
-  // Probe engine v3 counters (zero when the flat engine is off).
+  // Join-index probe engine counters.
   size_t flat_probes = 0;       ///< Lookups served by flat indexes.
   size_t prefetch_batches = 0;  ///< Prefetch windows issued by the batched
                                 ///< probe pipeline.
@@ -74,10 +74,6 @@ struct TraversalStats {
   size_t planner_decisions = 0;  ///< 1 when a StrategyPlanner picked the arm.
   size_t planner_explored = 0;   ///< 1 when that pick was an exploration.
   size_t pa_observations = 0;    ///< Verdicts fed to the PaModel by this run.
-  size_t pa_sample_sql = 0;      ///< SQL spent by the legacy estimate_pa
-                                 ///< sampling pass (already included in
-                                 ///< sql_queries; surfaced so the sampling
-                                 ///< cost is visible on its own).
   std::string planned_strategy;  ///< Planner arm label; empty otherwise.
   std::vector<PaBucketSnapshot> pa_buckets;  ///< Post-run model slice for the
                                              ///< query's selectivity bucket.
@@ -135,21 +131,11 @@ class TraversalStrategy {
 /// SBH parameters (paper uses p_a = 0.5).
 struct SbhOptions {
   double alive_probability = 0.5;
-  /// When true, estimate p_a by sampling a few retained nodes before the
-  /// greedy loop (the paper's future-work suggestion). Sampled outcomes are
-  /// recorded in the run's status map, so the SQL spent on sampling also
-  /// classifies part of the space (that SQL is counted in sql_queries and
-  /// surfaced separately as pa_sample_sql). `alive_probability` is ignored.
-  /// Superseded by `pa_model`, which costs no SQL at all.
-  bool estimate_pa = false;
-  /// Nodes to sample when estimate_pa is set.
-  size_t estimator_sample_size = 16;
-  uint64_t estimator_seed = 1;
   /// Online p_a model (see traversal/pa_model.h). When set, SBH reads a
   /// per-level estimate for the query's selectivity bucket — snapshotted at
   /// run start, so the schedule is deterministic given the model state —
-  /// and the estimate_pa sampling pass is skipped. A cold model yields the
-  /// 0.5 prior everywhere, reproducing static SBH @ 0.5 bit for bit.
+  /// instead of `alive_probability`. A cold model yields the 0.5 prior
+  /// everywhere, reproducing static SBH @ 0.5 bit for bit.
   const PaModel* pa_model = nullptr;
 };
 

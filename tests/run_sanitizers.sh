@@ -20,10 +20,11 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
 # gtest case names (not binaries): ctest -R matches the discovered tests.
 # resilience_smoke is the fault-schedule replay gate (bench/resilience_workload)
-# and probe_engine_smoke the v2-vs-v3 probe-engine parity gate
+# and probe_engine_smoke the plain-vs-batched flat-index hit-count gate
 # (bench/probe_engine_workload); both only exist when benchmarks are built.
-# FlatRowIndexTest covers the flat probe engine the batched join pipeline and
-# the differential fuzzer lean on. The storage-tier set (BufferPoolTest,
+# FlatRowIndexTest covers the flat probe engine the batched join pipeline
+# leans on; the differential fuzzer checks the executor's verdicts against
+# the reference evaluator (tests/reference_evaluator.h). The storage-tier set (BufferPoolTest,
 # SpillTest, SpillEpochTest, PostingStoreTest, ExecutorSpillTest,
 # storage_tier_smoke) runs here for asan's sake: the out-of-core tier hands
 # out references into evictable frames, exactly the lifetime bugs asan sees.

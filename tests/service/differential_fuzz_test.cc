@@ -1,9 +1,11 @@
 // Differential fuzzer over the whole verdict pipeline: seeded random
 // catalogs + keyword queries, asserting that all five traversal strategies,
-// the RE baseline (the SQL-per-node oracle), and the concurrent
-// DebugService produce identical A(K)/N(K)/MPAN sets. Any disagreement is
-// a real bug in inference, caching, cancellation, or the service's
-// threading — verdicts are ground truth and must not depend on the runner.
+// the RE baseline (the SQL-per-node oracle), a reference evaluator that
+// shares no code with the Executor (tests/reference_evaluator.h), and the
+// concurrent DebugService produce identical A(K)/N(K)/MPAN sets. Any
+// disagreement is a real bug in inference, caching, cancellation, the
+// executor, or the service's threading — verdicts are ground truth and must
+// not depend on the runner.
 //
 // Reproducibility: every failure prints the iteration seed and a minimized
 // query. Re-run one case with
@@ -27,7 +29,9 @@
 #include "datasets/query_generator.h"
 #include "kws/keyword_binding.h"
 #include "kws/pruned_lattice.h"
+#include "kws/query_builder.h"
 #include "lattice/lattice_generator.h"
+#include "reference_evaluator.h"
 #include "service/debug_service.h"
 #include "sql/executor.h"
 #include "test_util.h"
@@ -72,6 +76,23 @@ FuzzCase BuildCase(uint64_t seed) {
   return fc;
 }
 
+/// Outcomes of `pl` with every retained node classified by the reference
+/// evaluator, which shares no code with the Executor.
+std::vector<testutil::OutcomeSummary> ReferenceOutcomes(
+    const Database& db, const PrunedLattice& pl) {
+  NodeStatusMap status(pl.lattice().num_nodes());
+  for (NodeId node : pl.retained()) {
+    auto query = BuildNodeQuery(pl.lattice(), node, pl.binding());
+    KWSDBG_CHECK(query.ok()) << query.status().ToString();
+    status.Set(node, testutil::ReferenceNonEmpty(db, *query)
+                         ? NodeStatus::kAlive
+                         : NodeStatus::kDead);
+  }
+  auto outcomes = internal::BuildOutcomes(pl, status);
+  KWSDBG_CHECK(outcomes.ok()) << outcomes.status().ToString();
+  return testutil::Summarize(*outcomes);
+}
+
 /// Checks one query across all runners. `seed` is the case's generator seed,
 /// used to rebuild a bit-identical catalog for the out-of-core layer.
 /// Returns a description of the first disagreement, or nullopt when every
@@ -83,7 +104,10 @@ std::optional<std::string> Disagreement(const FuzzCase& fc, uint64_t seed,
   BindingResult bound = binder.Bind(query);
 
   // Layer 1: per interpretation, the five strategies must match the RE
-  // oracle exactly (aliveness, MPANs, culprits).
+  // oracle exactly (aliveness, MPANs, culprits). RE runs through the same
+  // Executor as every runner, so a fault in candidate sourcing, the semijoin
+  // pass or the join-index probes would slip past it: RE itself must match
+  // the reference evaluator's classification of every retained node.
   for (const KeywordBinding& binding : bound.interpretations) {
     PrunedLattice pl = PrunedLattice::Build(*fc.lattice, binding);
     if (pl.mtns().empty()) continue;
@@ -96,6 +120,10 @@ std::optional<std::string> Disagreement(const FuzzCase& fc, uint64_t seed,
     };
     auto oracle_strategy = MakeReturnEverything();
     const auto oracle = run(oracle_strategy.get());
+    if (oracle != ReferenceOutcomes(*fc.db, pl)) {
+      return "RE (Executor) disagrees with the reference evaluator on "
+             "binding " + binding.ToString(fc.schema);
+    }
     for (TraversalKind kind : AllTraversalKinds()) {
       auto strategy = MakeStrategy(kind);
       const auto got = run(strategy.get());
@@ -118,37 +146,11 @@ std::optional<std::string> Disagreement(const FuzzCase& fc, uint64_t seed,
     serial_sig = report->ClassificationSignature();
   }
 
-  // Layer 2b: probe engine differential — the default run above used the
-  // v3 flat indexes + batched prefetch pipeline; re-run with the v2
-  // unordered_map engine and with batching alone disabled. All three must
-  // classify bit-identically (the flat engine and the prefetch window must
-  // never change a verdict, only its cost).
-  {
-    DebuggerOptions v2_options;
-    v2_options.executor.flat_index = false;
-    NonAnswerDebugger v2(fc.db.get(), fc.lattice.get(), fc.index.get(),
-                         v2_options);
-    auto report = v2.Debug(query);
-    KWSDBG_CHECK(report.ok()) << report.status().ToString();
-    if (report->ClassificationSignature() != serial_sig) {
-      return "v2 (unordered_map) engine classification differs from v3";
-    }
-    DebuggerOptions unbatched_options;
-    unbatched_options.executor.batched_probe = false;
-    NonAnswerDebugger unbatched(fc.db.get(), fc.lattice.get(),
-                                fc.index.get(), unbatched_options);
-    auto unbatched_report = unbatched.Debug(query);
-    KWSDBG_CHECK(unbatched_report.ok())
-        << unbatched_report.status().ToString();
-    if (unbatched_report->ClassificationSignature() != serial_sig) {
-      return "flat engine with batching off differs from batched run";
-    }
-  }
   // Layer 2c: out-of-core differential — rebuild the identical catalog
   // (generation is seed-deterministic), push every table through the buffer
   // pool and the posting lists onto disk, and require the serial debugger to
-  // classify bit-identically. This is the spill analogue of 2b: paging must
-  // only change cost, never a verdict. Mutation epochs ride along: a
+  // classify bit-identically: paging must only change cost, never a
+  // verdict. Mutation epochs ride along: a
   // SetValue + BumpEpoch on the spilled catalog must not leave stale pages
   // behind (the write-back/undo pair keeps contents identical).
   {

@@ -1,5 +1,5 @@
-// Probe engine v3 index coverage: FlatRowIndex must return exactly the
-// row-id runs (same rows, same ascending order) as the v2 RowIndex on any
+// Join-index coverage: FlatRowIndex must return exactly the row-id runs
+// (same rows, same ascending order) as a brute-force column scan on any
 // column, including NULL-riddled and duplicate-heavy ones, and its
 // bucket-verification must survive forced slot collisions — distinct keys
 // whose hashes land on the same bucket chain.
@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "sql/flat_row_index.h"
-#include "sql/row_index.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -23,18 +22,30 @@ Table MakeTable(const std::string& name, DataType type) {
   return Table(name, std::move(schema));
 }
 
-/// Asserts FlatRowIndex == RowIndex for every distinct value present plus
-/// the given extra probe values (misses, NULL, wrong-typed keys).
+/// The rows a lookup of `v` must return: ascending rows whose (non-NULL)
+/// column-0 cell structurally equals `v`.
+std::vector<uint32_t> ScanColumn(const Table& table, const Value& v) {
+  std::vector<uint32_t> rows;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (!table.at(r, 0).is_null() && table.at(r, 0) == v) {
+      rows.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return rows;
+}
+
+/// Asserts FlatRowIndex == a brute-force column scan for every distinct
+/// value present plus the given extra probe values (misses, NULL,
+/// wrong-typed keys).
 void AssertParity(const Table& table, const std::vector<Value>& probes) {
-  const RowIndex v2 = RowIndex::Build(table, 0);
-  const FlatRowIndex v3 = FlatRowIndex::Build(table, 0);
+  const FlatRowIndex index = FlatRowIndex::Build(table, 0);
   std::vector<Value> all = probes;
   for (size_t row = 0; row < table.num_rows(); ++row) {
     all.push_back(table.at(row, 0));
   }
   for (const Value& v : all) {
-    const std::vector<uint32_t>& expect = v2.Lookup(v);
-    const RowSpan got = v3.Lookup(v);
+    const std::vector<uint32_t> expect = ScanColumn(table, v);
+    const RowSpan got = index.Lookup(v);
     ASSERT_EQ(expect.size(), got.size()) << "probe " << v.ToString();
     for (size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(expect[i], got[i]) << "probe " << v.ToString() << " pos " << i;
@@ -43,8 +54,8 @@ void AssertParity(const Table& table, const std::vector<Value>& probes) {
   // Hashed entry point agrees with the convenience wrapper.
   for (const Value& v : all) {
     if (v.is_null()) continue;
-    const RowSpan a = v3.Lookup(v);
-    const RowSpan b = v3.LookupHashed(v.Hash64(), v);
+    const RowSpan a = index.Lookup(v);
+    const RowSpan b = index.LookupHashed(v.Hash64(), v);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(a.data, b.data);
   }
@@ -176,14 +187,24 @@ TEST(FlatRowIndexTest, ManagerCachesAndAccumulates) {
     t1.AppendRowUnchecked({Value(static_cast<int64_t>(i))});
     t2.AppendRowUnchecked({Value(static_cast<int64_t>(i / 2))});
   }
-  FlatRowIndexManager manager;
-  const FlatRowIndex& a = manager.GetOrBuild(&t1, 0);
-  const FlatRowIndex& b = manager.GetOrBuild(&t1, 0);
+  SharedFlatRowIndexManager manager;
+  bool built = false;
+  const FlatRowIndex& a = manager.GetOrBuild(&t1, 0, /*epoch=*/0, &built);
+  EXPECT_TRUE(built);
+  const FlatRowIndex& b = manager.GetOrBuild(&t1, 0, /*epoch=*/0, &built);
+  EXPECT_FALSE(built);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(manager.num_indexes(), 1u);
-  manager.GetOrBuild(&t2, 0);
+  const FlatRowIndex& c = manager.GetOrBuild(&t2, 0, /*epoch=*/0, &built);
+  EXPECT_TRUE(built);
   EXPECT_EQ(manager.num_indexes(), 2u);
-  EXPECT_EQ(manager.totals().distinct_keys, 50u + 25u);
+  EXPECT_EQ(a.stats().distinct_keys, 50u);
+  EXPECT_EQ(c.stats().distinct_keys, 25u);
+  // A data-epoch bump on t1 makes its entry stale: the next probe rebuilds.
+  t1.BumpDataEpoch();
+  manager.GetOrBuild(&t1, 0, /*epoch=*/0, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(manager.num_indexes(), 2u);
   manager.Clear();
   EXPECT_EQ(manager.num_indexes(), 0u);
 }
